@@ -73,7 +73,7 @@ pub use hetero::{
     HeteroSplitOptions,
 };
 pub use pareto::ParetoFront;
-pub use replan::{replan, DetectedFault, ReplanError, ReplanReport};
+pub use replan::{replan, resolve_fault, DetectedFault, ReplanError, ReplanReport, ResolvedFault};
 pub use serve::{
     BudgetedAnswer, ConnBudget, InstanceCache, InstanceLoadError, ServeConfig, ServeHandle,
     ServeState, ServeStats,

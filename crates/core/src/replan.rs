@@ -11,6 +11,21 @@
 //! the serve path's `update` verb — and the re-solved mapping is
 //! compared against riding the fault out on the incumbent mapping.
 //!
+//! A re-plan has two halves, split by what they depend on:
+//!
+//! * [`resolve_fault`] lowers the fault to its delta, applies it and
+//!   re-solves the request on the degraded instance. It depends only on
+//!   `(prepared instance, fault, request)` — never on the incumbent
+//!   mapping — and holds nearly all of the cost.
+//! * [`ResolvedFault::adopt`] is the cheap, incumbent-dependent half:
+//!   the incumbent's ride-out period on the degraded platform, the
+//!   better of ride-out and re-solve, and the migration distance.
+//!
+//! [`replan`] is the composition of the two, so a caller that re-plans
+//! many incumbents on one instance (the chaos study) can resolve each
+//! distinct fault once and adopt every incumbent against it, with the
+//! same bits as calling [`replan`] per incumbent.
+//!
 //! [`replan`] **never adopts a worse plan**: when the incumbent mapping
 //! remains feasible on the degraded platform and beats the re-solve,
 //! the report says so (`adopted == false`) and keeps the incumbent.
@@ -176,11 +191,126 @@ fn stage_procs(mapping: &IntervalMapping, n_stages: usize, lost: Option<ProcId>)
     procs
 }
 
-/// Re-plans after `fault`: applies the corresponding delta through
-/// [`PreparedInstance::apply_in`] (warm start), re-solves `request` on
-/// the degraded instance, and adopts the better of {re-solved mapping,
-/// incumbent mapping} by period. Returns the degraded prepared instance
-/// (ready to serve further requests) and the recovery report.
+/// The incumbent-independent half of a re-plan: the fault's delta, the
+/// degraded prepared instance and the re-solved mapping on it.
+///
+/// It depends only on `(prepared instance, fault, request)`, so one
+/// resolved fault serves every incumbent mapping on that instance
+/// through [`ResolvedFault::adopt`]. [`replan`] is exactly
+/// [`resolve_fault`] followed by one `adopt`.
+#[derive(Debug)]
+pub struct ResolvedFault {
+    fault: DetectedFault,
+    delta: InstanceDelta,
+    next: PreparedInstance,
+    period: f64,
+    mapping: IntervalMapping,
+}
+
+/// Applies the delta of `fault` to `prev` through
+/// [`PreparedInstance::apply_in`] (warm start) and re-solves `request`
+/// on the degraded instance. Nothing here reads an incumbent mapping.
+pub fn resolve_fault(
+    prev: &PreparedInstance,
+    fault: &DetectedFault,
+    request: &SolveRequest,
+    ws: &mut SolveWorkspace,
+) -> Result<ResolvedFault, ReplanError> {
+    let delta = fault.to_delta(prev.platform())?;
+    let next = prev.apply_in(&delta, ws)?;
+    let report = next.solve_in(request, ws)?;
+    Ok(ResolvedFault {
+        fault: *fault,
+        delta,
+        next,
+        period: report.result.period,
+        mapping: report.result.mapping,
+    })
+}
+
+impl ResolvedFault {
+    /// The degraded prepared instance (ready to serve further requests).
+    pub fn degraded(&self) -> &PreparedInstance {
+        &self.next
+    }
+
+    /// The incumbent-dependent half of a re-plan: prices riding the
+    /// fault out on `incumbent`, adopts the better of {re-solved
+    /// mapping, incumbent} by period, and counts migrated stages.
+    /// `prev` must be the instance this fault was resolved on.
+    pub fn adopt(&self, prev: &PreparedInstance, incumbent: &IntervalMapping) -> ReplanReport {
+        let next = &self.next;
+        let period_nominal = prev.cost_model().period(incumbent);
+        let lost = match self.fault {
+            DetectedFault::ProcessorLoss { proc } => Some(proc),
+            DetectedFault::SpeedDrift { .. } => None,
+        };
+
+        // Ride-it-out cost: the incumbent's structure on the degraded
+        // platform (ids remapped past a removed processor), or
+        // infeasible when it enrolled the lost processor.
+        let incumbent_degraded: Option<IntervalMapping> = match lost {
+            Some(d) if incumbent.procs().contains(&d) => None,
+            _ => {
+                let procs: Vec<ProcId> = incumbent
+                    .procs()
+                    .iter()
+                    .map(|&u| match lost {
+                        Some(d) if u > d => u - 1,
+                        _ => u,
+                    })
+                    .collect();
+                IntervalMapping::new(
+                    next.app(),
+                    next.platform(),
+                    incumbent.intervals().to_vec(),
+                    procs,
+                )
+                .ok()
+            }
+        };
+        let period_before = incumbent_degraded
+            .as_ref()
+            .map(|mapping| next.cost_model().period(mapping))
+            .unwrap_or(f64::INFINITY);
+
+        let resolved_period = self.period;
+        let (adopted, mapping, period_after) = if period_before <= resolved_period {
+            let mapping = incumbent_degraded.expect("finite period_before implies a mapping");
+            (false, mapping, period_before)
+        } else {
+            (true, self.mapping.clone(), resolved_period)
+        };
+        let migration_distance = if adopted {
+            let n = prev.app().n_stages();
+            let before_procs = stage_procs(incumbent, n, None);
+            let after_procs = stage_procs(&mapping, n, lost);
+            before_procs
+                .iter()
+                .zip(after_procs.iter())
+                .filter(|(a, b)| a != b)
+                .count()
+        } else {
+            0
+        };
+
+        ReplanReport {
+            delta: self.delta.clone(),
+            period_nominal,
+            period_before,
+            resolved_period,
+            period_after,
+            adopted,
+            mapping,
+            migration_distance,
+        }
+    }
+}
+
+/// Re-plans after `fault`: [`resolve_fault`] (warm-started re-solve on
+/// the degraded instance), then [`ResolvedFault::adopt`] against
+/// `incumbent`. Returns the degraded prepared instance (ready to serve
+/// further requests) and the recovery report.
 ///
 /// Wall-clock recovery time is deliberately *not* part of the report —
 /// it would poison deterministic studies; `pwsched bench-failover`
@@ -192,79 +322,9 @@ pub fn replan(
     request: &SolveRequest,
     ws: &mut SolveWorkspace,
 ) -> Result<(PreparedInstance, ReplanReport), ReplanError> {
-    let delta = fault.to_delta(prev.platform())?;
-    let period_nominal = prev.cost_model().period(incumbent);
-    let next = prev.apply_in(&delta, ws)?;
-
-    let lost = match *fault {
-        DetectedFault::ProcessorLoss { proc } => Some(proc),
-        DetectedFault::SpeedDrift { .. } => None,
-    };
-
-    // Ride-it-out cost: the incumbent's structure on the degraded
-    // platform (ids remapped past a removed processor), or infeasible
-    // when it enrolled the lost processor.
-    let incumbent_degraded: Option<IntervalMapping> = match lost {
-        Some(d) if incumbent.procs().contains(&d) => None,
-        _ => {
-            let procs: Vec<ProcId> = incumbent
-                .procs()
-                .iter()
-                .map(|&u| match lost {
-                    Some(d) if u > d => u - 1,
-                    _ => u,
-                })
-                .collect();
-            IntervalMapping::new(
-                next.app(),
-                next.platform(),
-                incumbent.intervals().to_vec(),
-                procs,
-            )
-            .ok()
-        }
-    };
-    let period_before = incumbent_degraded
-        .as_ref()
-        .map(|mapping| next.cost_model().period(mapping))
-        .unwrap_or(f64::INFINITY);
-
-    let report = next.solve_in(request, ws)?;
-    let resolved_period = report.result.period;
-    let resolved_mapping = report.result.mapping;
-
-    let n = prev.app().n_stages();
-    let before_procs = stage_procs(incumbent, n, None);
-    let (adopted, mapping, period_after) = if period_before <= resolved_period {
-        let mapping = incumbent_degraded.expect("finite period_before implies a mapping");
-        (false, mapping, period_before)
-    } else {
-        (true, resolved_mapping, resolved_period)
-    };
-    let migration_distance = if adopted {
-        let after_procs = stage_procs(&mapping, n, lost);
-        before_procs
-            .iter()
-            .zip(after_procs.iter())
-            .filter(|(a, b)| a != b)
-            .count()
-    } else {
-        0
-    };
-
-    Ok((
-        next,
-        ReplanReport {
-            delta,
-            period_nominal,
-            period_before,
-            resolved_period,
-            period_after,
-            adopted,
-            mapping,
-            migration_distance,
-        },
-    ))
+    let resolved = resolve_fault(prev, fault, request, ws)?;
+    let report = resolved.adopt(prev, incumbent);
+    Ok((resolved.next, report))
 }
 
 #[cfg(test)]

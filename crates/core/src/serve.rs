@@ -1145,6 +1145,49 @@ mod tests {
     }
 
     #[test]
+    fn overflowing_instances_and_deltas_fail_structurally() {
+        // Every number is finite and positive, but 1e308 / 1e-308 is not:
+        // this instance used to pass parsing and then panic a solver.
+        let path = std::env::temp_dir().join(format!(
+            "pwsched-serve-unit-{}-overflow.pw",
+            std::process::id()
+        ));
+        std::fs::write(
+            &path,
+            "pipeline-instance v1\nworks 1e308 1e308 2\ndeltas 2 6 4 10\n\
+             speeds 1e-308 4\nbandwidth 5\n",
+        )
+        .expect("temp file writable");
+        let state = ServeState::new(None, 2);
+        let mut ws = SolveWorkspace::new();
+        let line = format!(
+            "solve id=1 objective=min-period strategy=best instance={}",
+            path.display()
+        );
+        let report = state.answer_line(&line, 1, &mut ws).expect("answered");
+        assert_eq!(
+            format_report(&report),
+            "report id=1 status=error code=bad-instance"
+        );
+        // A speed drift to 1e-308 overflows the same way.
+        let valid = instance_file("overflow", 37);
+        let state = ServeState::new(Some(valid.to_string_lossy().into_owned()), 2);
+        let report = state
+            .answer_line(
+                "update id=2 delta=proc-speed proc=0 speed=1e-308",
+                2,
+                &mut ws,
+            )
+            .expect("answered");
+        assert_eq!(
+            format_report(&report),
+            "report id=2 status=error code=bad-delta"
+        );
+        let _ = std::fs::remove_file(path);
+        let _ = std::fs::remove_file(valid);
+    }
+
+    #[test]
     fn stats_verb_reports_the_shared_counters() {
         let path = instance_file("stats", 23);
         let key = path.to_string_lossy().into_owned();

@@ -18,8 +18,8 @@
 
 use crate::shard::{sharded_map_items_with, ShardOptions};
 use pipeline_core::{
-    replan, DetectedFault, HeuristicKind, Objective, PreparedInstance, SolveRequest,
-    SolveWorkspace, Strategy,
+    resolve_fault, DetectedFault, HeuristicKind, Objective, PreparedInstance, ReplanError,
+    ResolvedFault, SolveRequest, SolveWorkspace, Strategy,
 };
 use pipeline_model::prelude::*;
 use pipeline_model::scenario::{ScenarioFamily, ScenarioGenerator, ScenarioParams};
@@ -252,12 +252,22 @@ pub fn chaos_study(params: &ChaosParams) -> Vec<ChaosRow> {
             // One prepared instance per job, shared by every replan.
             let prepared = PreparedInstance::new(app.clone(), pf.clone());
             let request = SolveRequest::new(Objective::MinPeriod).strategy(Strategy::BestOfAll);
-            let mut out = Vec::with_capacity(heuristics.len() * plans.len());
+            let np = plans.len();
+            let mut out = Vec::with_capacity(heuristics.len() * np);
+            // Both memos live for this job only. Re-solving a detected
+            // fault never reads the incumbent, so each distinct fault is
+            // resolved once (errors included) and every incumbent adopts
+            // against it. A mapping equal to an earlier heuristic's (same
+            // intervals, processors and nominal-period bits) fixes the
+            // victim, the plans and every sample, so its block of samples
+            // is copied instead of re-run.
+            let mut resolved: Vec<(DetectedFault, Result<ResolvedFault, ReplanError>)> = Vec::new();
+            let mut seen: Vec<(IntervalMapping, u64, usize)> = Vec::new();
             for &kind in &heuristics {
                 // Comm-heterogeneous families route around the split
                 // engine exactly as the sweep harness does.
                 if !kind.applicable_to(&pf) {
-                    out.extend(std::iter::repeat_n(None, plans.len()));
+                    out.extend(std::iter::repeat_n(None, np));
                     continue;
                 }
                 let target = if kind.is_period_fixed() {
@@ -267,10 +277,18 @@ pub fn chaos_study(params: &ChaosParams) -> Vec<ChaosRow> {
                 };
                 let res = kind.run_in(&cm, target, ws);
                 if !res.feasible {
-                    out.extend(std::iter::repeat_n(None, plans.len()));
+                    out.extend(std::iter::repeat_n(None, np));
                     continue;
                 }
                 let nominal_period = res.period;
+                if let Some(&(_, _, start)) = seen
+                    .iter()
+                    .find(|(m, bits, _)| *bits == nominal_period.to_bits() && *m == res.mapping)
+                {
+                    out.extend_from_within(start..start + np);
+                    continue;
+                }
+                seen.push((res.mapping.clone(), nominal_period.to_bits(), out.len()));
                 let nominal_latency = cm.latency(&res.mapping);
                 // Victim: the processor owning the bottleneck interval.
                 let victim = {
@@ -290,20 +308,26 @@ pub fn chaos_study(params: &ChaosParams) -> Vec<ChaosRow> {
                     let sim = FaultedSim::new(&cm, &res.mapping, SimConfig::default(), plan);
                     let deg = sim.run(n_datasets).degraded;
                     let offered = deg.offered.max(1) as f64;
-                    let (rideout_ratio, replan_ratio, migration) =
-                        match plan_kind.detected_fault(victim) {
-                            Some(fault) => {
-                                match replan(&prepared, &res.mapping, &fault, &request, ws) {
-                                    Ok((_, rep)) => (
-                                        rep.period_before / rep.period_nominal,
-                                        rep.period_after / rep.period_nominal,
-                                        rep.migration_distance as f64,
-                                    ),
-                                    Err(_) => (f64::NAN, f64::NAN, f64::NAN),
-                                }
+                    let adopted = plan_kind.detected_fault(victim).and_then(|fault| {
+                        let slot = match resolved.iter().position(|(known, _)| *known == fault) {
+                            Some(slot) => slot,
+                            None => {
+                                let r = resolve_fault(&prepared, &fault, &request, ws);
+                                resolved.push((fault, r));
+                                resolved.len() - 1
                             }
-                            None => (f64::NAN, f64::NAN, f64::NAN),
                         };
+                        let r = resolved[slot].1.as_ref().ok()?;
+                        Some(r.adopt(&prepared, &res.mapping))
+                    });
+                    let (rideout_ratio, replan_ratio, migration) = match adopted {
+                        Some(rep) => (
+                            rep.period_before / rep.period_nominal,
+                            rep.period_after / rep.period_nominal,
+                            rep.migration_distance as f64,
+                        ),
+                        None => (f64::NAN, f64::NAN, f64::NAN),
+                    };
                     out.push(Some(Sample {
                         completed_frac: deg.completed as f64 / offered,
                         dropped_frac: deg.dropped as f64 / offered,

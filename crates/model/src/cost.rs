@@ -22,7 +22,7 @@
 
 use crate::application::Application;
 use crate::mapping::{Interval, IntervalMapping};
-use crate::platform::{Platform, ProcId};
+use crate::platform::{LinkModel, Platform, ProcId};
 
 /// Evaluates mappings of one application on one platform.
 ///
@@ -204,6 +204,50 @@ impl<'a> CostModel<'a> {
         let first = app.delta(0) / b_io + app.work(0) / s_max;
         let last = app.delta(app.n_stages()) / b_io + app.work(app.n_stages() - 1) / s_max;
         comp.max(first).max(last)
+    }
+}
+
+/// Checks that every time the cost model can derive from the instance is
+/// finite. Validation admits any finite positive number, but derived
+/// times can still overflow (`1e308 / 1e-308`), and an infinite or NaN
+/// cost would reach the solvers. One bound covers them all:
+/// `Σw / s_min + Σδ / b_min` is at least every `w/s`, every `δ/b`, every
+/// prefix sum of works and the whole-pipeline latency on any mapping, so
+/// it being finite makes each of those finite. O(n + p) on Communication
+/// Homogeneous platforms (O(n + p²) with a bandwidth matrix, the size of
+/// the input).
+///
+/// # Errors
+///
+/// [`ModelError::InvalidNumber`] carrying the infinite bound.
+///
+/// [`ModelError::InvalidNumber`]: crate::ModelError::InvalidNumber
+pub fn check_scale(app: &Application, platform: &Platform) -> crate::Result<()> {
+    let min_bandwidth = match platform.links() {
+        LinkModel::Homogeneous(b) => *b,
+        LinkModel::Heterogeneous {
+            matrix,
+            io_bandwidth,
+        } => matrix
+            .iter()
+            .enumerate()
+            .flat_map(|(u, row)| {
+                row.iter()
+                    .enumerate()
+                    .filter(move |&(v, _)| v != u)
+                    .map(|(_, &b)| b)
+            })
+            .fold(*io_bandwidth, f64::min),
+    };
+    let total_volume: f64 = app.deltas().iter().sum();
+    let bound = app.total_work() / platform.min_speed() + total_volume / min_bandwidth;
+    if bound.is_finite() {
+        Ok(())
+    } else {
+        Err(crate::ModelError::InvalidNumber {
+            what: "time scale (total work / slowest speed + total volume / slowest link)",
+            value: bound,
+        })
     }
 }
 

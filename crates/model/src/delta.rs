@@ -11,6 +11,7 @@
 //! re-solve incrementally instead of from scratch.
 
 use crate::application::Application;
+use crate::cost::check_scale;
 use crate::platform::{LinkModel, Platform, ProcId};
 use crate::ModelError;
 
@@ -126,9 +127,22 @@ impl From<ModelError> for DeltaError {
 
 impl InstanceDelta {
     /// Applies the edit, returning the new instance. The inputs are
-    /// untouched; both halves go through the validating constructors, so
-    /// `Ok` implies a fully valid instance.
+    /// untouched; both halves go through the validating constructors and
+    /// the result through [`check_scale`], so `Ok` implies a fully valid
+    /// instance.
     pub fn apply_to(
+        &self,
+        app: &Application,
+        platform: &Platform,
+    ) -> Result<(Application, Platform), DeltaError> {
+        let (app, platform) = self.edit(app, platform)?;
+        check_scale(&app, &platform)?;
+        Ok((app, platform))
+    }
+
+    /// The edited instance, each half through its validating
+    /// constructor; [`InstanceDelta::apply_to`] adds the scale check.
+    fn edit(
         &self,
         app: &Application,
         platform: &Platform,
@@ -312,6 +326,36 @@ mod tests {
         assert_eq!(pf2.speeds(), &[3.0, 9.0, 1.5]);
         assert_eq!(pf2.procs_by_speed_desc(), &[1, 0, 2]);
         assert!(approx_eq(pf2.io_bandwidth_of(0), 10.0));
+    }
+
+    #[test]
+    fn overflowing_edits_are_rejected() {
+        let (app, pf) = instance();
+        let slow = InstanceDelta::ProcSpeed {
+            proc: 0,
+            speed: 1e-308,
+        };
+        assert!(matches!(
+            slow.apply_to(&app, &pf),
+            Err(DeltaError::Invalid(ModelError::InvalidNumber { value, .. })) if value.is_infinite()
+        ));
+        // One heavy stage is fine; a second one overflows the total work.
+        let heavy = |stage| InstanceDelta::StageWeight { stage, work: 1e308 };
+        let (app, pf) = heavy(0).apply_to(&app, &pf).unwrap();
+        assert!(matches!(
+            heavy(1).apply_to(&app, &pf),
+            Err(DeltaError::Invalid(_))
+        ));
+        let (app, pf) = hetero();
+        let thin = InstanceDelta::LinkBandwidth {
+            from: 0,
+            to: 1,
+            bandwidth: 1e-308,
+        };
+        assert!(matches!(
+            thin.apply_to(&app, &pf),
+            Err(DeltaError::Invalid(_))
+        ));
     }
 
     #[test]

@@ -260,6 +260,7 @@ pub fn parse_instance(text: &str) -> std::result::Result<(Application, Platform)
         }
         (None, None) => return Err(ParseError::Missing("bandwidth")),
     };
+    crate::cost::check_scale(&app, &platform)?;
     Ok((app, platform))
 }
 
@@ -1277,6 +1278,29 @@ mod tests {
         assert!(matches!(
             parse_instance(text).unwrap_err(),
             ParseError::Model(ModelError::DeltaLengthMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn derived_time_overflow_is_rejected() {
+        let text = "pipeline-instance v1\nworks 1e308 1e308 2\ndeltas 2 6 4 10\n\
+                    speeds 1e-308 4\nbandwidth 5\n";
+        assert!(matches!(
+            parse_instance(text).unwrap_err(),
+            ParseError::Model(ModelError::InvalidNumber { value, .. }) if value.is_infinite()
+        ));
+        // Large but finite scales still parse.
+        let text = "pipeline-instance v1\nworks 1e300 2\ndeltas 1 1 1\nspeeds 1e-5\nbandwidth 1\n";
+        assert!(parse_instance(text).is_ok());
+        // The unused diagonal of a bandwidth matrix does not count.
+        let text = "pipeline-instance v1\nworks 1e300\ndeltas 1 1\nspeeds 1 2\n\
+                    io-bandwidth 1\nlink 0 0 1e-308\nlink 0 1 2\n";
+        assert!(parse_instance(text).is_ok());
+        let text = "pipeline-instance v1\nworks 1\ndeltas 1e300 1\nspeeds 1 2\n\
+                    io-bandwidth 1\nlink 1 0 1e-10\n";
+        assert!(matches!(
+            parse_instance(text).unwrap_err(),
+            ParseError::Model(ModelError::InvalidNumber { .. })
         ));
     }
 
